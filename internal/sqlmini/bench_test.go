@@ -77,22 +77,45 @@ func BenchmarkInsertWithParams(b *testing.B) {
 }
 
 func BenchmarkUpdateUCPattern(b *testing.B) {
-	// Rule 3's hot path: close the open period, insert a new one.
-	s := store.OpenRFID()
+	// Rule 3's hot path over a pre-filled OBJECTLOCATION: close the
+	// object's open period and open a new one, then delete the period just
+	// closed so the table keeps its size whatever b.N is. With the
+	// object_epc probe the cost per op stays flat across table sizes.
 	upd, _ := Parse(`UPDATE OBJECTLOCATION SET tend = t WHERE object_epc = o AND tend = 'UC'`)
 	ins, _ := Parse(`INSERT INTO OBJECTLOCATION VALUES (o, r, t, 'UC')`)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		params := event.MakeBindings(map[string]event.Value{
-			"o": event.StringValue(fmt.Sprintf("obj%d", i%50)),
-			"r": event.StringValue("dock"),
-			"t": event.TimeValue(event.Time(i)),
+	del, _ := Parse(`DELETE FROM OBJECTLOCATION WHERE object_epc = o AND tend = t`)
+	for _, rows := range []int{1_000, 10_000, 100_000} {
+		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
+			const periodsPerObject = 10
+			objects := rows / periodsPerObject
+			obj := func(i int) event.Value { return event.StringValue(fmt.Sprintf("obj%d", i%objects)) }
+			s := store.OpenRFID()
+			loc, _ := s.Table(store.TableLocation)
+			for i := 0; i < rows; i++ {
+				end := event.TimeValue(event.Time(i + 1))
+				if i >= rows-objects {
+					end = event.TimeValue(store.UC) // each object's last period is open
+				}
+				if err := loc.Insert([]event.Value{obj(i), event.StringValue("dock"), event.TimeValue(event.Time(i)), end}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				params := event.MakeBindings(map[string]event.Value{
+					"o": obj(i),
+					"r": event.StringValue("dock"),
+					"t": event.TimeValue(event.Time(rows + 1 + i)),
+				})
+				for _, st := range []Stmt{upd, ins, del} {
+					if res, err := ExecStmt(s, st, params); err != nil || res.RowsAffected != 1 {
+						b.Fatalf("%v: affected %v, err %v", st, res, err)
+					}
+				}
+			}
+			if loc.Len() != rows {
+				b.Fatalf("table drifted to %d rows", loc.Len())
+			}
 		})
-		if _, err := ExecStmt(s, upd, params); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := ExecStmt(s, ins, params); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -61,12 +61,10 @@ func explain(s *store.Store, st Stmt, params event.Bindings) (*Result, error) {
 			add("scan %s (table missing at plan time)", table)
 			return
 		}
-		if where != nil && !hasQualifiedRef(where) {
-			if p := indexProbe(s, tbl, where, params); p != nil {
-				add("index probe %s.%s = %s", table, p.indexCol, p.indexVal)
-				add("filter remaining predicate")
-				return
-			}
+		if p := accessPath(s, tbl, where, params); p.Col != "" {
+			add("index probe %s.%s = %s", table, p.Col, p.Val)
+			add("filter remaining predicate")
+			return
 		}
 		add("full scan %s (%d rows)", table, tbl.Len())
 		if where != nil {
@@ -75,9 +73,16 @@ func explain(s *store.Store, st Stmt, params event.Bindings) (*Result, error) {
 	}
 	switch x := st.(type) {
 	case *Select:
-		describeAccess(x.Table, x.Where)
+		if len(x.Joins) == 0 {
+			describeAccess(x.Table, x.Where)
+			break
+		}
+		describeAccess(x.Table, nil) // joins scan every input
 		for _, j := range x.Joins {
 			add("nested-loop inner join %s ON ...", j.Table)
+		}
+		if x.Where != nil {
+			add("filter WHERE")
 		}
 		if len(x.GroupBy) > 0 {
 			add("group by %v", x.GroupBy)
@@ -689,92 +694,101 @@ func elementView(params event.Bindings, i int) event.Bindings {
 	return out
 }
 
-// whereMatcher compiles the WHERE clause into a row predicate, and when an
-// indexed equality conjunct exists, an index probe plan.
-type plan struct {
-	indexCol string
-	indexVal event.Value
-}
-
-// indexProbe looks for a top-level `col = <row-independent expr>` conjunct
-// over an indexed column.
-func indexProbe(s *store.Store, tbl *store.Table, where Expr, params event.Bindings) *plan {
-	var conjuncts []Expr
-	var collect func(Expr)
-	collect = func(x Expr) {
-		if b, ok := x.(*Binary); ok && b.Op == "AND" {
-			collect(b.L)
-			collect(b.R)
-			return
-		}
-		conjuncts = append(conjuncts, x)
+// accessPath is the one access step of every single-table SELECT, UPDATE
+// and DELETE (and of their EXPLAIN): the index probe for the first
+// top-level `col = <row-independent expr>` conjunct over an indexed
+// column, else the zero Probe, an ordered scan. Callers re-evaluate the
+// whole WHERE on every candidate, so the probe only prunes; it must keep
+// every row the conjunct can accept, which is why a conjunct qualifies
+// only when:
+//   - the value side evaluates with no current row, so it reads no column
+//     (a parameter shadowed by a column name resolves to the column in
+//     the WHERE) and calls no aggregate;
+//   - in `col = v`, v coerces to the column kind: compareValues then
+//     compares each row with that coerced v, which is what the index keys;
+//   - in `v = col`, v already has the column kind: compareValues coerces
+//     the row side first, and that is not one-to-one (FLOAT 5.7 = INT 5).
+func accessPath(s *store.Store, tbl *store.Table, where Expr, params event.Bindings) store.Probe {
+	if where == nil || hasQualifiedRef(where) {
+		return store.Probe{}
 	}
-	if where == nil {
-		return nil
-	}
-	collect(where)
-	for _, c := range conjuncts {
-		b, ok := c.(*Binary)
-		if !ok || b.Op != "=" {
-			continue
-		}
-		try := func(colSide, valSide Expr) *plan {
-			ref, ok := colSide.(*Ref)
-			if !ok {
-				return nil
-			}
-			if tbl.Schema().Index(ref.Name) < 0 || !tbl.HasIndex(ref.Name) {
-				return nil
-			}
-			ev := &env{store: s, params: params}
-			v, err := ev.eval(valSide) // fails if it references a column
-			if err != nil {
-				return nil
-			}
-			return &plan{indexCol: ref.Name, indexVal: v}
-		}
-		if p := try(b.L, b.R); p != nil {
-			return p
-		}
-		if p := try(b.R, b.L); p != nil {
-			return p
-		}
-	}
-	return nil
-}
-
-func matchRows(s *store.Store, tbl *store.Table, where Expr, params event.Bindings, visit func(id int64, r store.Row) bool) error {
 	ev := &env{store: s, schema: tbl.Schema(), params: params}
-	check := func(id int64, r store.Row) (bool, error) {
+	return ev.probe(tbl, where)
+}
+
+// probe walks the top-level AND conjuncts of x left to right and returns
+// the first that qualifies as an index probe (see accessPath).
+func (e *env) probe(tbl *store.Table, x Expr) store.Probe {
+	b, ok := x.(*Binary)
+	switch {
+	case !ok:
+		return store.Probe{}
+	case b.Op == "AND":
+		if p := e.probe(tbl, b.L); p.Col != "" {
+			return p
+		}
+		return e.probe(tbl, b.R)
+	case b.Op != "=":
+		return store.Probe{}
+	}
+	if p := e.probeEq(tbl, b.L, b.R, true); p.Col != "" {
+		return p
+	}
+	return e.probeEq(tbl, b.R, b.L, false)
+}
+
+func (e *env) probeEq(tbl *store.Table, colSide, valSide Expr, colLeft bool) store.Probe {
+	ref, ok := colSide.(*Ref)
+	if !ok {
+		return store.Probe{}
+	}
+	pos := e.schema.Index(ref.Name)
+	if pos < 0 || !tbl.HasIndex(ref.Name) {
+		return store.Probe{}
+	}
+	v, err := e.eval(valSide) // fails if it reads a column
+	if err != nil {
+		return store.Probe{}
+	}
+	if kind := e.schema[pos].Type; v.Kind() != kind && !v.IsNull() {
+		if _, err := store.Coerce(v, kind); err != nil || !colLeft {
+			return store.Probe{}
+		}
+	}
+	return store.Probe{Col: ref.Name, Val: v}
+}
+
+// wherePredicate adapts WHERE to the store's row callback for UPDATE and
+// DELETE. An evaluation error rejects the row and is left in *errp.
+func wherePredicate(ev *env, where Expr, errp *error) func(store.Row) bool {
+	return func(r store.Row) bool {
 		if where == nil {
-			return true, nil
+			return true
 		}
 		ev.row = r
 		v, err := ev.eval(where)
 		if err != nil {
-			return false, err
+			*errp = err
+			return false
 		}
-		return truthy(v), nil
+		return truthy(v)
 	}
+}
+
+func matchRows(s *store.Store, tbl *store.Table, where Expr, params event.Bindings, visit func(id int64, r store.Row) bool) error {
+	ev := &env{store: s, schema: tbl.Schema(), params: params}
 	var outerErr error
-	probe := indexProbe(s, tbl, where, params)
-	scan := func(id int64, r store.Row) bool {
-		ok, err := check(id, r)
+	err := tbl.Lookup(accessPath(s, tbl, where, params), func(id int64, r store.Row) bool {
+		ev.row = r
+		v, err := ev.eval(where)
 		if err != nil {
 			outerErr = err
 			return false
 		}
-		if !ok {
-			return true
-		}
-		return visit(id, r)
-	}
-	if probe != nil {
-		if err := tbl.Lookup(probe.indexCol, probe.indexVal, scan); err != nil {
-			return err
-		}
-	} else {
-		tbl.Scan(scan)
+		return !truthy(v) || visit(id, r)
+	})
+	if err != nil {
+		return err
 	}
 	return outerErr
 }
@@ -799,19 +813,7 @@ func execUpdate(s *store.Store, up *Update, params event.Bindings) (*Result, err
 	}
 	ev := &env{store: s, schema: schema, params: params}
 	var evalErr error
-	n, err := tbl.Update(
-		func(r store.Row) bool {
-			if up.Where == nil {
-				return true
-			}
-			ev.row = r
-			v, err := ev.eval(up.Where)
-			if err != nil {
-				evalErr = err
-				return false
-			}
-			return truthy(v)
-		},
+	n, err := tbl.Update(accessPath(s, tbl, up.Where, params), wherePredicate(ev, up.Where, &evalErr),
 		func(r store.Row) (store.Row, error) {
 			ev.row = r
 			for _, sp := range sets {
@@ -840,18 +842,10 @@ func execDelete(s *store.Store, del *Delete, params event.Bindings) (*Result, er
 	}
 	ev := &env{store: s, schema: tbl.Schema(), params: params}
 	var evalErr error
-	n := tbl.Delete(func(r store.Row) bool {
-		if del.Where == nil {
-			return true
-		}
-		ev.row = r
-		v, err := ev.eval(del.Where)
-		if err != nil {
-			evalErr = err
-			return false
-		}
-		return truthy(v)
-	})
+	n, err := tbl.Delete(accessPath(s, tbl, del.Where, params), wherePredicate(ev, del.Where, &evalErr))
+	if err != nil {
+		return nil, err
+	}
 	if evalErr != nil {
 		return nil, evalErr
 	}

@@ -201,9 +201,27 @@ GROUP BY l.loc_id ORDER BY count LIMIT 3`)
 			t.Errorf("plan missing %q:\n%s", frag, joined)
 		}
 	}
-	// Other statements explain too.
-	if steps := plan(`EXPLAIN UPDATE OBJECTLOCATION SET loc_id = 'x' WHERE object_epc = 'case1'`); !strings.Contains(strings.Join(steps, " "), "update") {
-		t.Errorf("update plan: %v", steps)
+	// A join scans its inputs even when the WHERE has an indexed equality.
+	mustExec(t, s, `CREATE TABLE SITES (site STRING, region STRING)`, nil)
+	mustExec(t, s, `INSERT INTO SITES VALUES ('warehouse-1', 'north')`, nil)
+	const join = `SELECT region FROM OBJECTLOCATION JOIN SITES ON loc_id = site WHERE object_epc = 'case1'`
+	if res := mustExec(t, s, join, nil); len(res.Rows) != 1 || res.Rows[0][0].Str() != "north" {
+		t.Fatalf("join: %v", res.Rows)
+	}
+	if steps := plan(`EXPLAIN ` + join); len(steps) == 0 || !strings.Contains(steps[0], "full scan") {
+		t.Errorf("join plan: %v", steps)
+	}
+	// UPDATE and DELETE take the same access path as SELECT.
+	for _, c := range []struct{ sql, access, action string }{
+		{`EXPLAIN UPDATE OBJECTLOCATION SET tend = 5 WHERE object_epc = 'case1' AND tend = 'UC'`, "index probe OBJECTLOCATION.object_epc = case1", "update 1 column(s)"},
+		{`EXPLAIN UPDATE OBJECTLOCATION SET tend = 5 WHERE loc_id = 'x'`, "full scan", "update 1 column(s)"},
+		{`EXPLAIN DELETE FROM OBJECTLOCATION WHERE object_epc = 'case1'`, "index probe OBJECTLOCATION.object_epc = case1", "delete"},
+		{`EXPLAIN DELETE FROM OBJECTLOCATION WHERE loc_id = 'x'`, "full scan", "delete"},
+	} {
+		steps := plan(c.sql)
+		if len(steps) == 0 || !strings.Contains(steps[0], c.access) || !strings.Contains(steps[len(steps)-1], c.action) {
+			t.Errorf("%s: %v", c.sql, steps)
+		}
 	}
 	if steps := plan(`EXPLAIN BULK INSERT INTO OBJECTCONTAINMENT VALUES ('a','b',0,'UC')`); !strings.Contains(steps[0], "bulk insert") {
 		t.Errorf("bulk plan: %v", steps)

@@ -75,7 +75,7 @@ func LocationAt(s *Store, objectEPC string, at event.Time) (string, bool) {
 	}
 	var loc string
 	found := false
-	_ = t.Lookup("object_epc", event.StringValue(objectEPC), func(_ int64, r Row) bool {
+	_ = t.Lookup(Probe{Col: "object_epc", Val: event.StringValue(objectEPC)}, func(_ int64, r Row) bool {
 		if !r[2].Time().After(at) && at.Before(r[3].Time()) {
 			loc = r[1].Str()
 			found = true
@@ -94,7 +94,7 @@ func ContainerAt(s *Store, objectEPC string, at event.Time) (string, bool) {
 	}
 	var parent string
 	found := false
-	_ = t.Lookup("object_epc", event.StringValue(objectEPC), func(_ int64, r Row) bool {
+	_ = t.Lookup(Probe{Col: "object_epc", Val: event.StringValue(objectEPC)}, func(_ int64, r Row) bool {
 		if !r[2].Time().After(at) && at.Before(r[3].Time()) {
 			parent = r[1].Str()
 			found = true

@@ -6,6 +6,7 @@ package store
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -190,12 +191,10 @@ func (t *Table) CreateIndex(col string) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	idx := map[string][]int64{}
-	for id, r := range t.rows {
-		k := indexKey(r[pos])
-		idx[k] = append(idx[k], id)
-	}
-	for _, ids := range idx {
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	for _, id := range t.order {
+		if r, ok := t.rows[id]; ok {
+			insertID(idx, indexKey(r[pos]), id)
+		}
 	}
 	t.indexes[pos] = idx
 	return nil
@@ -213,7 +212,53 @@ func (t *Table) HasIndex(col string) bool {
 	return ok
 }
 
-func indexKey(v event.Value) string { return v.String() }
+// indexKey renders a scalar value so that values equal under Value.Equal
+// share a bucket: float zero is one key, whatever its sign.
+func indexKey(v event.Value) string {
+	if v.Kind() == event.KindFloat && v.Float() == 0 {
+		return "0"
+	}
+	return v.String()
+}
+
+// reindexLocked moves row id from old's index buckets to row's: a nil old
+// adds the row, a nil row removes it. It is the only writer of index
+// buckets besides CreateIndex, and keeps each bucket sorted by ID. IDs
+// grow with every insert, so a bucket lists its rows in insertion order.
+func (t *Table) reindexLocked(id int64, old, row Row) {
+	for pos, idx := range t.indexes {
+		switch {
+		case old == nil:
+			insertID(idx, indexKey(row[pos]), id)
+		case row == nil:
+			removeID(idx, indexKey(old[pos]), id)
+		default:
+			if from, to := indexKey(old[pos]), indexKey(row[pos]); from != to {
+				removeID(idx, from, id)
+				insertID(idx, to, id)
+			}
+		}
+	}
+}
+
+func insertID(idx map[string][]int64, key string, id int64) {
+	ids := idx[key]
+	if i, found := slices.BinarySearch(ids, id); !found {
+		idx[key] = slices.Insert(ids, i, id)
+	}
+}
+
+func removeID(idx map[string][]int64, key string, id int64) {
+	ids := idx[key]
+	i, found := slices.BinarySearch(ids, id)
+	switch {
+	case !found:
+	case len(ids) == 1:
+		delete(idx, key)
+	default:
+		idx[key] = slices.Delete(ids, i, i+1)
+	}
+}
 
 // Insert appends a row, coercing values to the column types.
 func (t *Table) Insert(vals []event.Value) error {
@@ -234,132 +279,162 @@ func (t *Table) Insert(vals []event.Value) error {
 	t.nextID++
 	t.rows[id] = row
 	t.order = append(t.order, id)
-	for pos, idx := range t.indexes {
-		k := indexKey(row[pos])
-		idx[k] = append(idx[k], id)
-	}
+	t.reindexLocked(id, nil, row)
 	if t.journal != nil {
 		t.journal(Mutation{Table: t.name, Op: OpInsert, ID: id, Row: row.clone()})
 	}
 	return nil
 }
 
+// Probe is the access path of a read or write: the rows whose column Col
+// equals Val (Value.Equal, once Val is coerced to the column's kind; a
+// value that does not coerce equals no row). The zero Probe selects every
+// row. A probe on an indexed column visits only that column's bucket for
+// Val; on an unindexed column it scans and filters.
+type Probe struct {
+	Col string
+	Val event.Value
+}
+
+// access is a Probe resolved against the schema; pos < 0 selects every row.
+type access struct {
+	pos int
+	val event.Value
+}
+
+func (t *Table) resolve(p Probe) (access, error) {
+	if p.Col == "" {
+		return access{pos: -1}, nil
+	}
+	pos := t.schema.Index(p.Col)
+	if pos < 0 {
+		return access{}, fmt.Errorf("store: %s: no such column %s", t.name, p.Col)
+	}
+	cv, err := Coerce(p.Val, t.schema[pos].Type)
+	if err != nil {
+		cv = p.Val // of another kind than every stored value: matches none
+	}
+	return access{pos: pos, val: cv}, nil
+}
+
+// visitLocked calls visit with each live row a selects, in insertion order,
+// until visit returns false. The caller holds t.mu; visit may rewrite or
+// delete the row it is given, and no other.
+func (t *Table) visitLocked(a access, visit func(id int64, r Row) bool) {
+	idx, indexed := t.indexes[a.pos]
+	if !indexed {
+		for _, id := range t.order {
+			r, ok := t.rows[id]
+			if !ok || (a.pos >= 0 && !r[a.pos].Equal(a.val)) {
+				continue
+			}
+			if !visit(id, r) {
+				return
+			}
+		}
+		return
+	}
+	key := indexKey(a.val)
+	ids := idx[key]
+	for i := 0; i < len(ids); {
+		id := ids[i]
+		if r := t.rows[id]; r[a.pos].Equal(a.val) && !visit(id, r) {
+			return
+		}
+		if ids[i] == id {
+			i++
+			continue
+		}
+		// visit moved id out of the bucket, and removeID shifted the
+		// bucket's array in place: resume at id's successor.
+		ids = idx[key]
+		i, _ = slices.BinarySearch(ids, id)
+	}
+}
+
 // Scan visits live rows in insertion order until visit returns false.
 func (t *Table) Scan(visit func(id int64, r Row) bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	for _, id := range t.order {
-		r, ok := t.rows[id]
-		if !ok {
-			continue
-		}
-		if !visit(id, r) {
-			return
-		}
-	}
+	t.visitLocked(access{pos: -1}, visit)
 }
 
-// Lookup visits rows whose column equals v, using the hash index when one
-// exists and falling back to a scan otherwise. Rows are visited in
-// insertion order.
-func (t *Table) Lookup(col string, v event.Value, visit func(id int64, r Row) bool) error {
-	pos := t.schema.Index(col)
-	if pos < 0 {
-		return fmt.Errorf("store: %s: no such column %s", t.name, col)
-	}
-	cv, err := Coerce(v, t.schema[pos].Type)
+// Lookup visits the rows p selects, in insertion order, until visit
+// returns false. Like Scan, it holds the table's read lock while visit
+// runs, so visit must not write the table.
+func (t *Table) Lookup(p Probe, visit func(id int64, r Row) bool) error {
+	a, err := t.resolve(p)
 	if err != nil {
-		cv = v // fall back to raw comparison
+		return err
 	}
 	t.mu.RLock()
-	if idx, ok := t.indexes[pos]; ok {
-		ids := idx[indexKey(cv)]
-		// Copy so the visit callback can mutate the table.
-		snapshot := append([]int64(nil), ids...)
-		t.mu.RUnlock()
-		for _, id := range snapshot {
-			t.mu.RLock()
-			r, ok := t.rows[id]
-			t.mu.RUnlock()
-			if !ok || !r[pos].Equal(cv) {
-				continue
-			}
-			if !visit(id, r) {
-				return nil
-			}
-		}
-		return nil
-	}
-	t.mu.RUnlock()
-	t.Scan(func(id int64, r Row) bool {
-		if !r[pos].Equal(cv) {
-			return true
-		}
-		return visit(id, r)
-	})
+	defer t.mu.RUnlock()
+	t.visitLocked(a, visit)
 	return nil
 }
 
-// Update rewrites every row matching where with the assignments produced
-// by set (given the current row); it returns the number of rows updated.
-func (t *Table) Update(where func(Row) bool, set func(Row) (Row, error)) (int, error) {
+// Update rewrites every row p selects that also satisfies where, with the
+// assignments produced by set (given a copy of the current row), under one
+// write lock; it returns the number of rows updated.
+func (t *Table) Update(p Probe, where func(Row) bool, set func(Row) (Row, error)) (int, error) {
+	a, err := t.resolve(p)
+	if err != nil {
+		return 0, err
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	n := 0
-	for _, id := range t.order {
-		r, ok := t.rows[id]
-		if !ok || !where(r) {
-			continue
+	t.visitLocked(a, func(id int64, r Row) bool {
+		if !where(r) {
+			return true
 		}
-		nr, err := set(r.clone())
-		if err != nil {
-			return n, err
+		var nr Row
+		if nr, err = set(r.clone()); err != nil {
+			return false
 		}
 		for i := range nr {
-			cv, err := Coerce(nr[i], t.schema[i].Type)
-			if err != nil {
-				return n, fmt.Errorf("store: %s.%s: %v", t.name, t.schema[i].Name, err)
-			}
-			nr[i] = cv
-		}
-		for pos, idx := range t.indexes {
-			if !r[pos].Equal(nr[pos]) {
-				removeID(idx, indexKey(r[pos]), id)
-				idx[indexKey(nr[pos])] = append(idx[indexKey(nr[pos])], id)
+			if nr[i], err = Coerce(nr[i], t.schema[i].Type); err != nil {
+				err = fmt.Errorf("store: %s.%s: %v", t.name, t.schema[i].Name, err)
+				return false
 			}
 		}
+		t.reindexLocked(id, r, nr)
 		t.rows[id] = nr
 		if t.journal != nil {
 			t.journal(Mutation{Table: t.name, Op: OpUpdate, ID: id, Row: nr.clone()})
 		}
 		n++
-	}
-	return n, nil
+		return true
+	})
+	return n, err
 }
 
-// Delete removes every row matching where and returns the count.
-func (t *Table) Delete(where func(Row) bool) int {
+// Delete removes every row p selects that also satisfies where, under one
+// write lock, and returns the count.
+func (t *Table) Delete(p Probe, where func(Row) bool) (int, error) {
+	a, err := t.resolve(p)
+	if err != nil {
+		return 0, err
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	n := 0
-	for _, id := range t.order {
-		r, ok := t.rows[id]
-		if !ok || !where(r) {
-			continue
+	t.visitLocked(a, func(id int64, r Row) bool {
+		if !where(r) {
+			return true
 		}
-		for pos, idx := range t.indexes {
-			removeID(idx, indexKey(r[pos]), id)
-		}
+		t.reindexLocked(id, r, nil)
 		delete(t.rows, id)
 		if t.journal != nil {
 			t.journal(Mutation{Table: t.name, Op: OpDelete, ID: id})
 		}
 		n++
-	}
+		return true
+	})
 	if n > 0 && len(t.rows)*2 < len(t.order) {
 		t.compactLocked()
 	}
-	return n
+	return n, nil
 }
 
 func (t *Table) compactLocked() {
@@ -370,19 +445,6 @@ func (t *Table) compactLocked() {
 		}
 	}
 	t.order = live
-}
-
-func removeID(idx map[string][]int64, key string, id int64) {
-	ids := idx[key]
-	for i, x := range ids {
-		if x == id {
-			idx[key] = append(ids[:i], ids[i+1:]...)
-			break
-		}
-	}
-	if len(idx[key]) == 0 {
-		delete(idx, key)
-	}
 }
 
 // Coerce converts v to the column kind, allowing null everywhere, numeric

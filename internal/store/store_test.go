@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -143,7 +144,7 @@ func TestUpdateAndUC(t *testing.T) {
 	tbl := newTestTable(t)
 	_ = tbl.Insert([]event.Value{event.StringValue("e1"), event.IntValue(1), event.TimeValue(UC)})
 	_ = tbl.Insert([]event.Value{event.StringValue("e2"), event.IntValue(2), event.TimeValue(UC)})
-	n, err := tbl.Update(
+	n, err := tbl.Update(Probe{},
 		func(r Row) bool { return r[0].Str() == "e1" && r[2].Time() == UC },
 		func(r Row) (Row, error) { r[2] = event.TimeValue(ts(9)); return r, nil },
 	)
@@ -171,8 +172,8 @@ func TestDeleteAndCompact(t *testing.T) {
 			event.StringValue(fmt.Sprintf("e%d", i)), event.IntValue(int64(i % 2)), event.TimeValue(0),
 		})
 	}
-	n := tbl.Delete(func(r Row) bool { return r[1].Int() == 0 })
-	if n != 50 || tbl.Len() != 50 {
+	n, err := tbl.Delete(Probe{}, func(r Row) bool { return r[1].Int() == 0 })
+	if err != nil || n != 50 || tbl.Len() != 50 {
 		t.Fatalf("Delete: n=%d len=%d", n, tbl.Len())
 	}
 	count := 0
@@ -201,7 +202,7 @@ func TestIndexLookupMatchesScan(t *testing.T) {
 	f := func(k uint8) bool {
 		key := fmt.Sprintf("e%d", int(k)%60)
 		var viaIndex, viaScan []int64
-		_ = tbl.Lookup("epc", event.StringValue(key), func(id int64, _ Row) bool {
+		_ = tbl.Lookup(Probe{Col: "epc", Val: event.StringValue(key)}, func(id int64, _ Row) bool {
 			viaIndex = append(viaIndex, id)
 			return true
 		})
@@ -233,7 +234,7 @@ func TestIndexMaintainedAcrossUpdateDelete(t *testing.T) {
 		_ = tbl.Insert([]event.Value{event.StringValue("a"), event.IntValue(int64(i)), event.TimeValue(0)})
 	}
 	// Move half to key "b".
-	_, err := tbl.Update(
+	_, err := tbl.Update(Probe{Col: "epc", Val: event.StringValue("a")},
 		func(r Row) bool { return r[1].Int()%2 == 0 },
 		func(r Row) (Row, error) { r[0] = event.StringValue("b"); return r, nil },
 	)
@@ -242,15 +243,65 @@ func TestIndexMaintainedAcrossUpdateDelete(t *testing.T) {
 	}
 	countKey := func(k string) int {
 		n := 0
-		_ = tbl.Lookup("epc", event.StringValue(k), func(int64, Row) bool { n++; return true })
+		_ = tbl.Lookup(Probe{Col: "epc", Val: event.StringValue(k)}, func(int64, Row) bool { n++; return true })
 		return n
 	}
 	if countKey("a") != 5 || countKey("b") != 5 {
 		t.Fatalf("after update: a=%d b=%d", countKey("a"), countKey("b"))
 	}
-	tbl.Delete(func(r Row) bool { return r[0].Str() == "b" })
+	if _, err := tbl.Delete(Probe{Col: "epc", Val: event.StringValue("b")}, func(Row) bool { return true }); err != nil {
+		t.Fatal(err)
+	}
 	if countKey("b") != 0 || countKey("a") != 5 {
 		t.Fatalf("after delete: a=%d b=%d", countKey("a"), countKey("b"))
+	}
+}
+
+// TestProbeNarrowsWhere: Update and Delete evaluate where only on the rows
+// the probe selects, whether an index serves the probe or a scan does.
+func TestProbeNarrowsWhere(t *testing.T) {
+	for _, indexed := range []bool{true, false} {
+		tbl := newTestTable(t)
+		if indexed {
+			_ = tbl.CreateIndex("epc")
+		}
+		for i := 0; i < 100; i++ {
+			_ = tbl.Insert([]event.Value{event.StringValue(fmt.Sprintf("e%d", i%10)), event.IntValue(int64(i)), event.TimeValue(UC)})
+		}
+		calls := 0
+		where := func(Row) bool { calls++; return true }
+		n, err := tbl.Update(Probe{Col: "epc", Val: event.StringValue("e3")}, where,
+			func(r Row) (Row, error) { r[0] = event.StringValue("moved"); return r, nil })
+		if err != nil || n != 10 {
+			t.Fatalf("Update: n=%d err=%v", n, err)
+		}
+		if calls != 10 {
+			t.Errorf("indexed=%v: Update evaluated where %d times, want 10", indexed, calls)
+		}
+		calls = 0
+		if n, err := tbl.Delete(Probe{Col: "epc", Val: event.StringValue("moved")}, where); err != nil || n != 10 {
+			t.Fatalf("Delete: n=%d err=%v", n, err)
+		}
+		if calls != 10 {
+			t.Errorf("indexed=%v: Delete evaluated where %d times, want 10", indexed, calls)
+		}
+		if _, err := tbl.Delete(Probe{Col: "bogus"}, where); err == nil {
+			t.Errorf("probe on a missing column accepted")
+		}
+	}
+}
+
+// TestFloatZeroIsOneIndexKey: 0 and -0 are Equal, so they share a bucket.
+func TestFloatZeroIsOneIndexKey(t *testing.T) {
+	s := New()
+	_ = s.CreateTable("m", Schema{{Name: "x", Type: event.KindFloat}})
+	tbl, _ := s.Table("m")
+	_ = tbl.CreateIndex("x")
+	_ = tbl.Insert([]event.Value{event.FloatValue(math.Copysign(0, -1))})
+	n := 0
+	_ = tbl.Lookup(Probe{Col: "x", Val: event.IntValue(0)}, func(int64, Row) bool { n++; return true })
+	if n != 1 {
+		t.Errorf("lookup of 0 found %d rows holding -0", n)
 	}
 }
 
@@ -258,13 +309,13 @@ func TestLookupWithoutIndexFallsBack(t *testing.T) {
 	tbl := newTestTable(t)
 	_ = tbl.Insert([]event.Value{event.StringValue("x"), event.IntValue(1), event.TimeValue(0)})
 	n := 0
-	if err := tbl.Lookup("epc", event.StringValue("x"), func(int64, Row) bool { n++; return true }); err != nil {
+	if err := tbl.Lookup(Probe{Col: "epc", Val: event.StringValue("x")}, func(int64, Row) bool { n++; return true }); err != nil {
 		t.Fatal(err)
 	}
 	if n != 1 {
 		t.Errorf("fallback lookup found %d", n)
 	}
-	if err := tbl.Lookup("bogus", event.Null, func(int64, Row) bool { return true }); err == nil {
+	if err := tbl.Lookup(Probe{Col: "bogus"}, func(int64, Row) bool { return true }); err == nil {
 		t.Errorf("lookup on missing column accepted")
 	}
 }
@@ -285,7 +336,7 @@ func TestConcurrentAccess(t *testing.T) {
 				})
 				if i%10 == 0 {
 					tbl.Scan(func(int64, Row) bool { return true })
-					_ = tbl.Lookup("epc", event.StringValue("w0"), func(int64, Row) bool { return true })
+					_ = tbl.Lookup(Probe{Col: "epc", Val: event.StringValue("w0")}, func(int64, Row) bool { return true })
 				}
 			}
 		}(w)

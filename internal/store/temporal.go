@@ -42,7 +42,7 @@ func LocationHistory(s *Store, objectEPC string) ([]LocationStay, error) {
 		return nil, err
 	}
 	var out []LocationStay
-	if err := t.Lookup("object_epc", event.StringValue(objectEPC), func(_ int64, r Row) bool {
+	if err := t.Lookup(Probe{Col: "object_epc", Val: event.StringValue(objectEPC)}, func(_ int64, r Row) bool {
 		out = append(out, LocationStay{
 			Location: r[1].Str(),
 			Period:   Period{Start: r[2].Time(), End: r[3].Time()},
@@ -63,7 +63,7 @@ func ContainmentHistory(s *Store, objectEPC string) ([]ContainmentSpan, error) {
 		return nil, err
 	}
 	var out []ContainmentSpan
-	if err := t.Lookup("object_epc", event.StringValue(objectEPC), func(_ int64, r Row) bool {
+	if err := t.Lookup(Probe{Col: "object_epc", Val: event.StringValue(objectEPC)}, func(_ int64, r Row) bool {
 		out = append(out, ContainmentSpan{
 			Parent: r[1].Str(),
 			Period: Period{Start: r[2].Time(), End: r[3].Time()},

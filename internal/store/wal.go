@@ -125,10 +125,7 @@ func (t *Table) applyMutation(m Mutation) error {
 		if m.ID >= t.nextID {
 			t.nextID = m.ID + 1
 		}
-		for pos, idx := range t.indexes {
-			k := indexKey(m.Row[pos])
-			idx[k] = append(idx[k], m.ID)
-		}
+		t.reindexLocked(m.ID, nil, m.Row)
 	case OpUpdate:
 		old, ok := t.rows[m.ID]
 		if !ok {
@@ -137,21 +134,14 @@ func (t *Table) applyMutation(m Mutation) error {
 		if len(m.Row) != len(t.schema) {
 			return fmt.Errorf("update arity %d vs schema %d", len(m.Row), len(t.schema))
 		}
-		for pos, idx := range t.indexes {
-			if !old[pos].Equal(m.Row[pos]) {
-				removeID(idx, indexKey(old[pos]), m.ID)
-				idx[indexKey(m.Row[pos])] = append(idx[indexKey(m.Row[pos])], m.ID)
-			}
-		}
+		t.reindexLocked(m.ID, old, m.Row)
 		t.rows[m.ID] = m.Row
 	case OpDelete:
 		old, ok := t.rows[m.ID]
 		if !ok {
 			return fmt.Errorf("delete of missing id %d", m.ID)
 		}
-		for pos, idx := range t.indexes {
-			removeID(idx, indexKey(old[pos]), m.ID)
-		}
+		t.reindexLocked(m.ID, old, nil)
 		delete(t.rows, m.ID)
 	default:
 		return fmt.Errorf("unknown mutation op %d", m.Op)

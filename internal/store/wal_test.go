@@ -55,8 +55,8 @@ func TestWALRecovery(t *testing.T) {
 
 	// Post-snapshot activity: the Rule 3 UC pattern plus deletes.
 	loc, _ := live.Table(TableLocation)
-	if _, err := loc.Update(
-		func(r Row) bool { return r[0].Str() == "o1" && r[3].Time() == UC },
+	if _, err := loc.Update(Probe{Col: "object_epc", Val: event.StringValue("o1")},
+		func(r Row) bool { return r[3].Time() == UC },
 		func(r Row) (Row, error) { r[3] = event.TimeValue(ts(10)); return r, nil },
 	); err != nil {
 		t.Fatal(err)
@@ -66,7 +66,9 @@ func TestWALRecovery(t *testing.T) {
 	})
 	obs, _ := live.Table(TableObservation)
 	_ = obs.Insert([]event.Value{event.StringValue("r1"), event.StringValue("o1"), event.TimeValue(ts(10))})
-	obs.Delete(func(r Row) bool { return true })
+	if _, err := obs.Delete(Probe{}, func(Row) bool { return true }); err != nil {
+		t.Fatal(err)
+	}
 	if err := wal.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -125,13 +127,13 @@ func TestWALRandomizedRecovery(t *testing.T) {
 			})
 		case 1:
 			key := fmt.Sprintf("k%d", rng.Intn(20))
-			_, _ = tbl.Update(
-				func(r Row) bool { return r[0].Str() == key },
+			_, _ = tbl.Update(Probe{Col: "k", Val: event.StringValue(key)},
+				func(Row) bool { return true },
 				func(r Row) (Row, error) { r[1] = event.IntValue(r[1].Int() + 1); return r, nil },
 			)
 		case 2:
 			mod := int64(rng.Intn(7) + 2)
-			tbl.Delete(func(r Row) bool { return r[1].Int()%mod == 0 })
+			_, _ = tbl.Delete(Probe{}, func(r Row) bool { return r[1].Int()%mod == 0 })
 		}
 	}
 	if err := wal.Flush(); err != nil {
@@ -152,7 +154,7 @@ func TestWALRandomizedRecovery(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		key := fmt.Sprintf("k%d", i)
 		viaIdx := 0
-		_ = rec.Lookup("k", event.StringValue(key), func(int64, Row) bool { viaIdx++; return true })
+		_ = rec.Lookup(Probe{Col: "k", Val: event.StringValue(key)}, func(int64, Row) bool { viaIdx++; return true })
 		viaScan := 0
 		rec.Scan(func(_ int64, r Row) bool {
 			if r[0].Str() == key {
