@@ -232,57 +232,6 @@ func BenchmarkActionsIncluded(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationPipelined is DESIGN.md A4: direct single-threaded
-// ingestion vs the channel-staged Fig. 2 pipeline.
-func BenchmarkAblationPipelined(b *testing.B) {
-	w := bench.Fig9Workload(20_000, 25, 1, false)
-	b.Run("direct", func(b *testing.B) {
-		var last bench.Result
-		for i := 0; i < b.N; i++ {
-			r, err := bench.RunRCEDA(w, bench.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			last = r
-		}
-		reportPerEvent(b, last)
-	})
-	b.Run("pipelined", func(b *testing.B) {
-		var last bench.Result
-		for i := 0; i < b.N; i++ {
-			r, err := bench.RunPipelined(w, bench.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			last = r
-		}
-		reportPerEvent(b, last)
-	})
-}
-
-// BenchmarkAblationPrimIndex is DESIGN.md A5: linear leaf probing (the
-// paper's engine) vs reader-literal indexed dispatch, at a high rule
-// count where the difference matters.
-func BenchmarkAblationPrimIndex(b *testing.B) {
-	w := bench.Fig9Workload(20_000, 250, 1, false)
-	for _, mode := range []struct {
-		name  string
-		index bool
-	}{{"linear-probe", false}, {"indexed", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			var last bench.Result
-			for i := 0; i < b.N; i++ {
-				r, err := bench.RunRCEDA(w, bench.Options{IndexPrimitives: mode.index})
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = r
-			}
-			reportPerEvent(b, last)
-		})
-	}
-}
-
 // BenchmarkAblationSharded is DESIGN.md A6: rules partitioned across
 // parallel engines. On multi-core hosts this scales with shard count; on
 // one core it measures the coordination overhead.

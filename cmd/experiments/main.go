@@ -385,7 +385,7 @@ func fig9(quick bool) {
 	fmt.Println()
 }
 
-// ablation runs the A1–A3 experiments of DESIGN.md.
+// ablation runs the A1–A3 and A6 experiments of DESIGN.md.
 func ablation(quick bool) {
 	// 400 rules ≈ 80 production lines × 5 rule families: the scale the
 	// sharded engine is built for — single-engine leaf probing grows with
@@ -424,36 +424,10 @@ func ablation(quick bool) {
 		ms(ec.Elapsed), ec.Detections)
 	fmt.Println()
 
-	fmt.Println("=== A5: primitive-pattern indexing (beyond the paper) ===")
-	w5 := bench.Fig9Workload(events, 500, 1, false)
-	lin, err := bench.RunRCEDA(w5, bench.Options{})
-	if err != nil {
-		panic(err)
-	}
-	idx, err := bench.RunRCEDA(w5, bench.Options{IndexPrimitives: true})
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("linear probe (paper): %8.1f ms, %d detections (500 rules)\n", ms(lin.Elapsed), lin.Detections)
-	fmt.Printf("reader-literal index: %8.1f ms, %d detections\n", ms(idx.Elapsed), idx.Detections)
-	fmt.Println()
-
-	fmt.Println("=== A4: direct vs pipelined ingestion (channel-staged Fig. 2) ===")
-	direct, err := bench.RunRCEDA(w, bench.Options{})
-	if err != nil {
-		panic(err)
-	}
-	piped, err := bench.RunPipelined(w, bench.Options{})
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("direct   : %8.1f ms, %d detections\n", ms(direct.Elapsed), direct.Detections)
-	fmt.Printf("pipelined: %8.1f ms, %d detections (incl. dedup stage)\n", ms(piped.Elapsed), piped.Detections)
-	fmt.Println()
-
 	fmt.Println("=== A6: rule-sharded parallelism (beyond the paper) ===")
+	w6 := bench.Fig9Workload(events, 500, 1, false)
 	for _, n := range []int{1, 2, 4, 8} {
-		r, err := bench.RunSharded(w5, n, bench.Options{})
+		r, err := bench.RunSharded(w6, n, bench.Options{})
 		if err != nil {
 			panic(err)
 		}

@@ -8,7 +8,6 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"math"
@@ -20,7 +19,6 @@ import (
 	"rcep/internal/core/event"
 	"rcep/internal/core/graph"
 	"rcep/internal/eca"
-	"rcep/internal/pipeline"
 	"rcep/internal/rules"
 	"rcep/internal/sim"
 	"rcep/internal/store"
@@ -102,11 +100,10 @@ func (w *Workload) parseRules() (*rules.RuleSet, error) {
 
 // Options tune a run.
 type Options struct {
-	Context         pctx.Context
-	DisableMerging  bool
-	IncludeActions  bool // run conditions and actions (excluded by default, as in the paper)
-	IndexPrimitives bool // A5: reader-literal dispatch instead of probing every leaf
-	Interpreted     bool // force the per-event AST interpreter (oracle for the compiled hot path)
+	Context        pctx.Context
+	DisableMerging bool
+	IncludeActions bool // run conditions and actions (excluded by default, as in the paper)
+	Interpreted    bool // force the per-event AST interpreter (oracle for the compiled hot path)
 }
 
 // Result is one measured run.
@@ -159,13 +156,12 @@ func RunRCEDA(w *Workload, opts Options) (Result, error) {
 		return Result{}, err
 	}
 	eng, err := detect.New(detect.Config{
-		Graph:           b.Finalize(),
-		Context:         opts.Context,
-		Groups:          w.Groups,
-		TypeOf:          w.TypeOf,
-		OnDetect:        onDetect,
-		IndexPrimitives: opts.IndexPrimitives,
-		Interpreted:     opts.Interpreted,
+		Graph:       b.Finalize(),
+		Context:     opts.Context,
+		Groups:      w.Groups,
+		TypeOf:      w.TypeOf,
+		OnDetect:    onDetect,
+		Interpreted: opts.Interpreted,
 	})
 	if err != nil {
 		return Result{}, err
@@ -223,50 +219,6 @@ func RunECA(w *Workload) (Result, error) {
 	}, nil
 }
 
-// RunPipelined measures the workload flowing through the concurrent
-// Fig. 2 pipeline (source goroutine → dedup stage → engine goroutine)
-// instead of direct single-threaded ingestion — the A4 ablation
-// quantifying channel-stage overhead/benefit.
-func RunPipelined(w *Workload, opts Options) (Result, error) {
-	rs, err := w.parseRules()
-	if err != nil {
-		return Result{}, err
-	}
-	b := graph.NewBuilder()
-	x := rules.NewExecutor(rs, nil, nil, nil)
-	if err := x.Bind(b); err != nil {
-		return Result{}, err
-	}
-	var detections uint64
-	eng, err := detect.New(detect.Config{
-		Graph:    b.Finalize(),
-		Context:  opts.Context,
-		Groups:   w.Groups,
-		TypeOf:   w.TypeOf,
-		OnDetect: func(int, *event.Instance) { detections++ },
-	})
-	if err != nil {
-		return Result{}, err
-	}
-	start := time.Now()
-	err = pipeline.Run(context.Background(), pipeline.Config{
-		Source: pipeline.SliceSource(w.Observations),
-		Stages: []pipeline.StageFunc{pipeline.Dedup(time.Second)},
-		Sink:   eng.Ingest,
-	})
-	if err != nil {
-		return Result{}, err
-	}
-	eng.Close()
-	return Result{
-		Events:     len(w.Observations),
-		Rules:      len(rs.Rules),
-		Elapsed:    time.Since(start),
-		Detections: detections,
-		Metrics:    eng.Metrics(),
-	}, nil
-}
-
 // RunSharded partitions the RULES across n engines, runs each engine in
 // its own goroutine over the full observation stream, and unions the
 // detections — the A6 scale-out ablation. Rules partition cleanly
@@ -304,12 +256,11 @@ func RunSharded(w *Workload, n int, opts Options) (Result, error) {
 			continue
 		}
 		eng, err := detect.New(detect.Config{
-			Graph:           b.Finalize(),
-			Context:         opts.Context,
-			Groups:          w.Groups,
-			TypeOf:          w.TypeOf,
-			IndexPrimitives: opts.IndexPrimitives,
-			OnDetect:        func(int, *event.Instance) { sh.detections++ },
+			Graph:    b.Finalize(),
+			Context:  opts.Context,
+			Groups:   w.Groups,
+			TypeOf:   w.TypeOf,
+			OnDetect: func(int, *event.Instance) { sh.detections++ },
 		})
 		if err != nil {
 			return Result{}, err

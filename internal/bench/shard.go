@@ -26,14 +26,13 @@ func RunShardEngine(w *Workload, n int, opts Options) (Result, error) {
 	}
 	var detections uint64
 	eng, err := shard.New(shard.Config{
-		Rules:           shRules,
-		Shards:          n,
-		Context:         opts.Context,
-		Groups:          w.Groups,
-		TypeOf:          w.TypeOf,
-		IndexPrimitives: opts.IndexPrimitives,
-		Interpreted:     opts.Interpreted,
-		OnDetect:        func(int, *event.Instance) { detections++ },
+		Rules:       shRules,
+		Shards:      n,
+		Context:     opts.Context,
+		Groups:      w.Groups,
+		TypeOf:      w.TypeOf,
+		Interpreted: opts.Interpreted,
+		OnDetect:    func(int, *event.Instance) { detections++ },
 	})
 	if err != nil {
 		return Result{}, err

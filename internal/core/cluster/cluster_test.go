@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"rcep/internal/core/event"
+	"rcep/internal/core/shard"
 	"rcep/internal/faults"
 	"rcep/internal/wire"
 )
@@ -48,76 +49,110 @@ func planName(seed int64) string { return fmt.Sprintf("seed=%d", seed) }
 // the held fire-time group survives the restart with its tie order.
 func TestCoordinatorCheckpointRestart(t *testing.T) {
 	t.Parallel()
+	type restartCase struct {
+		name                       string
+		seed                       int64
+		rules                      []shard.Rule
+		stream                     []event.Observation
+		cut                        int
+		syncEvery, checkpointEvery int
+		// held marks a cut that lands while a merged fire-time tie group
+		// is still held undelivered (fire == now), so nothing may have
+		// been delivered before the checkpoint.
+		held bool
+	}
+	var cases []restartCase
 	for _, seed := range []int64{5, 21, 42} {
 		r := rand.New(rand.NewSource(seed))
 		rules := genRules(r, 3+r.Intn(8))
 		stream := genStream(r, 80+r.Intn(40))
-		cut := len(stream) / 2
+		cases = append(cases, restartCase{
+			name: planName(seed), seed: seed, rules: rules, stream: stream,
+			cut: len(stream) / 2, syncEvery: 5, checkpointEvery: 2,
+		})
+	}
+	// Both rules complete on the same rB observation, so their detections
+	// share a fire instant and form one tie group. A barrier after every
+	// observation merges that group at t=3 and holds it until the clock
+	// passes 3; the cut falls right there.
+	cases = append(cases, restartCase{
+		name: "held-tie-group",
+		rules: []shard.Rule{
+			{ID: 1, Expr: &event.Within{X: &event.Seq{L: lit("rA", "x1", "t1"), R: lit("rB", "x2", "t2")}, Max: 10 * time.Second}},
+			{ID: 2, Expr: &event.Within{X: &event.Seq{L: lit("rC", "y1", "u1"), R: lit("rB", "y2", "u2")}, Max: 10 * time.Second}},
+		},
+		stream: []event.Observation{
+			{Reader: "rA", Object: "o", At: ts(1)},
+			{Reader: "rC", Object: "o", At: ts(2)},
+			{Reader: "rB", Object: "o", At: ts(3)}, // both rules fire at t=3
+			{Reader: "rA", Object: "p", At: ts(4)}, // clock passes 3 → group deliverable
+			{Reader: "rB", Object: "p", At: ts(5)}, // second tie group (rule 1 only)
+			{Reader: "rD", Object: "q", At: ts(6)},
+		},
+		cut: 3, syncEvery: 1, checkpointEvery: 1, held: true,
+	})
 
-		want := runShard(t, rules, stream, 4)
-
-		base := WorkerConfig{Rules: rules, Shards: 4, Groups: genGroups, TypeOf: genTypeOf}
-		procs := make([]*workerProc, 3)
-		addrs := make([]string, 3)
-		for i := range procs {
-			procs[i] = newWorkerProc(t, base)
-			addrs[i] = procs[i].addr
-		}
-		cleanup := func() {
-			for _, p := range procs {
-				p.kill()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			want := runShard(t, tc.rules, tc.stream, 4)
+			if tc.held && len(want) < 3 {
+				t.Fatalf("oracle produced %d detections, the tie-group workload wants >= 3", len(want))
 			}
-		}
 
-		var got []string
-		cfg := Config{
-			Rules: rules, Shards: 4, Workers: addrs,
-			Groups: genGroups, TypeOf: genTypeOf,
-			OnDetect:        func(rid int, inst *event.Instance) { got = append(got, sig(rid, inst)) },
-			SyncEvery:       5,
-			CheckpointEvery: 2,
-			BarrierTimeout:  time.Second,
-			Seed:            seed,
-		}
-		coord, err := New(cfg)
-		if err != nil {
-			cleanup()
-			t.Fatalf("seed %d: New: %v", seed, err)
-		}
-		for _, o := range stream[:cut] {
-			if err := coord.Ingest(o); err != nil {
-				cleanup()
-				t.Fatalf("seed %d: Ingest: %v", seed, err)
+			base := WorkerConfig{Rules: tc.rules, Shards: 4, Groups: genGroups, TypeOf: genTypeOf}
+			addrs := make([]string, 3)
+			for i := range addrs {
+				p := newWorkerProc(t, base)
+				defer p.kill()
+				addrs[i] = p.addr
 			}
-		}
-		var ck bytes.Buffer
-		if err := coord.SaveCheckpoint(&ck); err != nil {
-			cleanup()
-			t.Fatalf("seed %d: SaveCheckpoint: %v", seed, err)
-		}
-		// Crash the coordinator — no drain, no goodbye. The workers keep
-		// running; the restarted coordinator re-places every shard from
-		// the checkpointed engine states under fresh epochs.
-		coord.Abort()
 
-		cfg.Checkpoint = &ck
-		coord2, err := New(cfg)
-		if err != nil {
-			cleanup()
-			t.Fatalf("seed %d: New(restore): %v", seed, err)
-		}
-		for _, o := range stream[cut:] {
-			if err := coord2.Ingest(o); err != nil {
-				cleanup()
-				t.Fatalf("seed %d: Ingest after restore: %v", seed, err)
+			var got []string
+			cfg := Config{
+				Rules: tc.rules, Shards: 4, Workers: addrs,
+				Groups: genGroups, TypeOf: genTypeOf,
+				OnDetect:        func(rid int, inst *event.Instance) { got = append(got, sig(rid, inst)) },
+				SyncEvery:       tc.syncEvery,
+				CheckpointEvery: tc.checkpointEvery,
+				BarrierTimeout:  time.Second,
+				Seed:            tc.seed,
 			}
-		}
-		if err := coord2.Close(); err != nil {
-			cleanup()
-			t.Fatalf("seed %d: Close: %v", seed, err)
-		}
-		cleanup()
-		diffStrings(t, "restart order", want, got)
+			coord, err := New(cfg)
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			for _, o := range tc.stream[:tc.cut] {
+				if err := coord.Ingest(o); err != nil {
+					t.Fatalf("Ingest: %v", err)
+				}
+			}
+			if tc.held && len(got) != 0 {
+				t.Fatalf("%d detections delivered before the checkpoint: the held-group scenario did not occur", len(got))
+			}
+			var ck bytes.Buffer
+			if err := coord.SaveCheckpoint(&ck); err != nil {
+				t.Fatalf("SaveCheckpoint: %v", err)
+			}
+			// Crash the coordinator — no drain, no goodbye. The workers keep
+			// running; the restarted coordinator re-places every shard from
+			// the checkpointed engine states under fresh epochs.
+			coord.Abort()
+
+			cfg.Checkpoint = &ck
+			coord2, err := New(cfg)
+			if err != nil {
+				t.Fatalf("New(restore): %v", err)
+			}
+			for _, o := range tc.stream[tc.cut:] {
+				if err := coord2.Ingest(o); err != nil {
+					t.Fatalf("Ingest after restore: %v", err)
+				}
+			}
+			if err := coord2.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+			diffStrings(t, "restart order", want, got)
+		})
 	}
 }
 

@@ -57,7 +57,6 @@ type WorkerConfig struct {
 	Groups  func(reader string) []string
 	TypeOf  func(object string) string
 
-	IndexPrimitives    bool
 	MaxPartitionBuffer int
 	MaxHistory         int
 	MaxOpenSequence    int
@@ -417,7 +416,6 @@ func (w *Worker) newFeed(m wire.Message) (*feed, error) {
 				InstSeq: inst.Seq, Binds: inst.Binds,
 			})
 		},
-		IndexPrimitives:    w.cfg.IndexPrimitives,
 		MaxPartitionBuffer: w.cfg.MaxPartitionBuffer,
 		MaxHistory:         w.cfg.MaxHistory,
 		MaxOpenSequence:    w.cfg.MaxOpenSequence,

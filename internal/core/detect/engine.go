@@ -56,15 +56,6 @@ type Config struct {
 	// Fig. 6b) — this cap is the backstop.
 	MaxOpenSequence int
 
-	// IndexPrimitives routes each observation only to primitive
-	// patterns whose reader literal matches (plus patterns with
-	// variable readers), instead of probing every leaf — an
-	// optimization beyond the paper that flattens the per-rule matching
-	// cost (ablation A5). Default off to mirror the paper's engine. It
-	// governs the interpreted path only: compiled plans always dispatch
-	// through the symbol index.
-	IndexPrimitives bool
-
 	// Interpreted forces the legacy per-event interpretation path
 	// (Term/Pred AST walks, string compares). Default off: the engine
 	// compiles primitive patterns into prepared plans at construction
@@ -106,12 +97,6 @@ type Engine struct {
 	seq     uint64 // instance arrival counter
 	pseq    uint64 // pseudo scheduling counter
 	m       Metrics
-
-	// primIndex routes observations by reader literal; primWild holds
-	// patterns with variable/anonymous readers. Nil when indexing is
-	// off.
-	primIndex map[string][]*graph.Node
-	primWild  []*graph.Node
 
 	// groupCache and typeCache memoize the group(r) and type(o)
 	// functions: reader groups and object types are deployment
@@ -380,16 +365,6 @@ func New(cfg Config) (*Engine, error) {
 			e.states[n.ID].right = limit(newBuffer(n.JoinVars))
 		}
 	}
-	if cfg.IndexPrimitives {
-		e.primIndex = map[string][]*graph.Node{}
-		for _, p := range cfg.Graph.Prims {
-			if t := p.Prim.Reader; !t.IsVar() && t.Lit != "" {
-				e.primIndex[t.Lit] = append(e.primIndex[t.Lit], p)
-			} else {
-				e.primWild = append(e.primWild, p)
-			}
-		}
-	}
 	if !cfg.Interpreted {
 		e.compiled = true
 		e.intern = cfg.Interner
@@ -449,27 +424,6 @@ func (e *Engine) Ingest(obs event.Observation) error {
 	e.m.Observations++
 	if e.compiled {
 		e.ingestCompiled(&obs)
-		return nil
-	}
-	if e.primIndex != nil {
-		// Indexed dispatch preserves node-ID order across the two
-		// candidate sets so detections stay deterministic.
-		lit := e.primIndex[obs.Reader]
-		wild := e.primWild
-		for len(lit) > 0 || len(wild) > 0 {
-			var next *graph.Node
-			switch {
-			case len(lit) == 0:
-				next, wild = wild[0], wild[1:]
-			case len(wild) == 0:
-				next, lit = lit[0], lit[1:]
-			case lit[0].ID < wild[0].ID:
-				next, lit = lit[0], lit[1:]
-			default:
-				next, wild = wild[0], wild[1:]
-			}
-			e.matchAndEmit(next, obs)
-		}
 		return nil
 	}
 	for _, prim := range e.g.Prims {

@@ -354,69 +354,6 @@ func TestPropertyOutfieldOracle(t *testing.T) {
 	}
 }
 
-// TestPropertyIndexedEqualsLinear: primitive-pattern indexing (A5) is a
-// pure optimization — detections must be identical with and without it.
-func TestPropertyIndexedEqualsLinear(t *testing.T) {
-	mkRules := func() map[int]event.Expr {
-		return map[int]event.Expr{
-			1: &event.TSeq{L: prim("r1", "o1", "t1"), R: prim("r2", "o2", "t2"),
-				Lo: 500 * time.Millisecond, Hi: 3 * time.Second},
-			2: &event.Within{X: &event.Seq{L: primVars("r", "o", "u1"), R: primVars("r", "o", "u2")},
-				Max: 5 * time.Second}, // variable reader: wildcard path
-			3: &event.Within{
-				X:   &event.And{L: prim("r1", "a", "ta"), R: &event.Not{X: prim("r2", "b", "tb")}},
-				Max: 2 * time.Second,
-			},
-		}
-	}
-	runIdx := func(indexed bool, history []event.Observation) []string {
-		b := graph.NewBuilder()
-		for id := 1; id <= 3; id++ {
-			if _, err := b.AddRule(id, mkRules()[id]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		var sigs []string
-		eng, err := New(Config{
-			Graph:           b.Finalize(),
-			IndexPrimitives: indexed,
-			OnDetect: func(rid int, in *event.Instance) {
-				sigs = append(sigs, in.Binds.String()+in.Begin.String()+in.End.String())
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, o := range history {
-			if err := eng.Ingest(o); err != nil {
-				t.Fatal(err)
-			}
-		}
-		eng.Close()
-		return sigs
-	}
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		history := randomHistory(r, 70, 2500)
-		a := runIdx(false, history)
-		b := runIdx(true, history)
-		if len(a) != len(b) {
-			t.Logf("seed %d: linear %d vs indexed %d detections", seed, len(a), len(b))
-			return false
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Logf("seed %d: detection %d differs", seed, i)
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestPropertyMergedEqualsUnmerged: common sub-graph merging is a pure
 // optimization — detections must be identical with and without it.
 func TestPropertyMergedEqualsUnmerged(t *testing.T) {

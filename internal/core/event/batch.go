@@ -7,11 +7,10 @@ import "sync"
 // reports tags in bursts — one RO_ACCESS_REPORT per antenna read cycle —
 // so the natural streaming granule is a small ordered group of
 // observations sharing one timestamp window, not a single observation.
-// LLRP adapters emit one Batch per read cycle, wire frames carry one
-// Batch per sequence number, and the pipeline, shard router and detection
-// engines hand whole batches across channel and lock boundaries: one
-// channel operation (one lock acquisition, one ingest call) per batch
-// instead of per event.
+// Wire "batch" frames carry one Batch per sequence number, and the shard
+// router and detection engines hand whole batches across channel and lock
+// boundaries: one channel operation (one lock acquisition, one ingest
+// call) per batch instead of per event.
 //
 // A Batch is a plain observation slice; the semantics live in how it is
 // consumed (detect.Engine.IngestBatch advances the virtual clock per
@@ -64,7 +63,7 @@ func (b Batch) Canon(it *Interner) {
 }
 
 // batchPool recycles batch backing arrays across producer/consumer
-// goroutine boundaries (LLRP adapter → pipeline, shard router → worker).
+// goroutine boundaries (shard router → worker).
 var batchPool = sync.Pool{
 	New: func() any { return make(Batch, 0, 64) },
 }

@@ -16,8 +16,8 @@ import (
 var ErrClosed = errors.New("shard: engine is closed")
 
 // Config configures a sharded engine. The detection-semantics fields
-// (Context, Groups, TypeOf, buffer caps, IndexPrimitives) mean exactly
-// what they do in detect.Config and are applied to every shard.
+// (Context, Groups, TypeOf, buffer caps) mean exactly what they do in
+// detect.Config and are applied to every shard.
 type Config struct {
 	// Rules is the rule set to partition. IDs are the graph rule IDs
 	// reported to OnDetect and must be unique.
@@ -33,7 +33,6 @@ type Config struct {
 	TypeOf   func(object string) string
 	OnDetect func(ruleID int, inst *event.Instance)
 
-	IndexPrimitives    bool
 	MaxPartitionBuffer int
 	MaxHistory         int
 	MaxOpenSequence    int
@@ -281,7 +280,6 @@ func New(cfg Config) (*Engine, error) {
 					fire: w.eng.Now(), rule: rid, seq: w.seq, inst: inst,
 				})
 			},
-			IndexPrimitives:    cfg.IndexPrimitives,
 			MaxPartitionBuffer: cfg.MaxPartitionBuffer,
 			MaxHistory:         cfg.MaxHistory,
 			MaxOpenSequence:    cfg.MaxOpenSequence,

@@ -13,7 +13,7 @@ import (
 
 // runSingle replays the stream through one plain detect.Engine holding the
 // whole rule set — the oracle the sharded engine must reproduce.
-func runSingle(t *testing.T, rules []Rule, stream []event.Observation, indexed bool) []string {
+func runSingle(t *testing.T, rules []Rule, stream []event.Observation) []string {
 	t.Helper()
 	b := graph.NewBuilder()
 	for _, r := range rules {
@@ -29,7 +29,6 @@ func runSingle(t *testing.T, rules []Rule, stream []event.Observation, indexed b
 		OnDetect: func(rid int, inst *event.Instance) {
 			got = append(got, sig(rid, inst))
 		},
-		IndexPrimitives: indexed,
 	})
 	if err != nil {
 		t.Fatalf("detect.New: %v", err)
@@ -45,7 +44,7 @@ func runSingle(t *testing.T, rules []Rule, stream []event.Observation, indexed b
 
 // runShard replays the stream through a sharded engine, returning the
 // delivered detection order.
-func runShard(t *testing.T, rules []Rule, stream []event.Observation, shards int, indexed bool) []string {
+func runShard(t *testing.T, rules []Rule, stream []event.Observation, shards int) []string {
 	t.Helper()
 	var got []string
 	eng, err := New(Config{
@@ -56,9 +55,8 @@ func runShard(t *testing.T, rules []Rule, stream []event.Observation, shards int
 		OnDetect: func(rid int, inst *event.Instance) {
 			got = append(got, sig(rid, inst))
 		},
-		IndexPrimitives: indexed,
-		Batch:           3, // tiny batches + frequent barriers to stress the
-		SyncEvery:       7, // fan-out/fan-in machinery
+		Batch:     3, // tiny batches + frequent barriers to stress the
+		SyncEvery: 7, // fan-out/fan-in machinery
 	})
 	if err != nil {
 		t.Fatalf("shard.New(shards=%d): %v", shards, err)
@@ -109,12 +107,11 @@ func TestOracleShardEquivalence(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		rules := genRules(r, 3+r.Intn(10))
 		stream := genStream(r, 40+r.Intn(110))
-		indexed := r.Intn(2) == 1
 
-		oracle := asMultiset(runSingle(t, rules, stream, indexed))
+		oracle := asMultiset(runSingle(t, rules, stream))
 		var ref []string
 		for _, n := range shardCounts {
-			got := runShard(t, rules, stream, n, indexed)
+			got := runShard(t, rules, stream, n)
 			diffStrings(t, "multiset", oracle, asMultiset(got))
 			if ref == nil {
 				ref = got
@@ -161,7 +158,7 @@ func TestOracleBatchedIngest(t *testing.T) {
 			realized = append(realized, sorted...)
 			rest = rest[n:]
 		}
-		oracle := asMultiset(runSingle(t, rules, realized, false))
+		oracle := asMultiset(runSingle(t, rules, realized))
 
 		var got []string
 		eng, err := New(Config{

@@ -28,7 +28,7 @@ func TestSeedRepro60402385808921546(t *testing.T) {
 	r := rand.New(rand.NewSource(seed))
 	rules := genRules(r, 3+r.Intn(8))
 	stream := genStream(r, 60+r.Intn(60))
-	oracle := runSingle(t, rules, stream, false)
+	oracle := runSingle(t, rules, stream)
 
 	// Recreate the exact per-chunk shuffled+stably-sorted order IngestBatch applies.
 	var applied []event.Observation
@@ -45,7 +45,7 @@ func TestSeedRepro60402385808921546(t *testing.T) {
 		applied = append(applied, sorted...)
 		rest = rest[n:]
 	}
-	reordered := runSingle(t, rules, applied, false)
+	reordered := runSingle(t, rules, applied)
 	diffStrings(t, "single-engine intervals on reordered equal-time stream",
 		asMultiset(stripBinds(oracle)), asMultiset(stripBinds(reordered)))
 

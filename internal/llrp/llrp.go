@@ -196,15 +196,6 @@ type Adapter struct {
 	ReaderID string
 	Sink     func(event.Observation) error
 
-	// BatchSink, when set, takes precedence over Sink and receives one
-	// pooled batch per RO_ACCESS_REPORT — the read cycle is the natural
-	// streaming granule (DESIGN.md §12), and handing it downstream whole
-	// means one channel send, one lock acquisition and one engine call
-	// per reader report instead of per tag. Ownership of the batch
-	// transfers to the sink: it must call event.PutBatch (directly or at
-	// the end of its pipeline) once the contents are consumed.
-	BatchSink func(event.Batch) error
-
 	// MinRSSI, when non-zero, drops reports weaker than this (dBm × 10)
 	// — edge filtering of marginal reads.
 	MinRSSI int16
@@ -220,30 +211,9 @@ type Adapter struct {
 
 // HandleMessage feeds every tag report of an RO_ACCESS_REPORT to the
 // sink; other message types are ignored (keepalives, reader events).
-// With a BatchSink the whole report travels as one batch; tag order
-// within the report is preserved (readers emit each cycle time-ordered).
 func (a *Adapter) HandleMessage(m Message) error {
 	if m.Type != MsgROAccessReport {
 		return nil
-	}
-	if a.BatchSink != nil {
-		batch := event.GetBatch()
-		for _, tr := range m.Tags {
-			if a.MinRSSI != 0 && tr.PeakRSSI < a.MinRSSI {
-				continue
-			}
-			batch = append(batch, event.Observation{
-				Reader: a.ReaderID,
-				Object: tr.EPC.Hex(),
-				At:     event.Time(tr.Timestamp),
-			})
-		}
-		if len(batch) == 0 {
-			event.PutBatch(batch)
-			return nil
-		}
-		batch.Canon(a.Intern)
-		return a.BatchSink(batch)
 	}
 	for _, tr := range m.Tags {
 		if a.MinRSSI != 0 && tr.PeakRSSI < a.MinRSSI {

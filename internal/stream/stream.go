@@ -193,10 +193,6 @@ func (d *Dedup) Push(obs event.Observation) error {
 	return d.out(obs)
 }
 
-// Flush is a no-op: Dedup holds no pending observations. It satisfies the
-// pipeline stage contract.
-func (d *Dedup) Flush() error { return nil }
-
 // prune evicts stale entries so the map stays proportional to the number
 // of recently active (reader, object) pairs.
 func (d *Dedup) prune(now event.Time) {

@@ -282,6 +282,37 @@ func TestServerAdmissionShedsOldest(t *testing.T) {
 	}
 }
 
+// In admission mode an ack means "admitted": a frame still waiting in the
+// queue behind a stalled engine is acked, so the sender's ring drains.
+func TestServerAdmissionAcksOnAdmit(t *testing.T) {
+	srv, addr := startServerOpts(t, rcep.Config{Rules: dupRule}, WithAdmission(4, true))
+	srv.emu.Lock()
+	c, err := DialReliable(addr, ReliableOptions{ClientID: "edge"})
+	if err != nil {
+		srv.emu.Unlock()
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := c.Send("r1", "o", time.Duration(i)*time.Second); err != nil {
+			srv.emu.Unlock()
+			t.Fatalf("Send %d: %v", i, err)
+		}
+	}
+	if err := c.Flush(2 * time.Second); err != nil {
+		srv.emu.Unlock()
+		t.Fatalf("Flush against stalled engine: %v", err)
+	}
+	srv.emu.Unlock()
+
+	if _, err := c.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	srv.Shutdown()
+	if got := srv.Engine().Metrics().Observations; got != 2 {
+		t.Fatalf("engine applied %d observations, want 2", got)
+	}
+}
+
 // The status frame reports overload counters without disturbing the feed.
 func TestWireStatusFrame(t *testing.T) {
 	_, addr := startServerOpts(t, rcep.Config{Rules: dupRule}, WithAdmission(8, true))

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/json"
 	"fmt"
 	"net"
 	"path/filepath"
@@ -211,7 +212,7 @@ func TestReliableResumeSkipsAppliedFrames(t *testing.T) {
 	srv, addr := startServer(t, rcep.Config{Rules: dupRule})
 	// Pretend a previous session delivered seqs 1..2 but the acks never
 	// arrived back.
-	srv.claimSeq("edge9", 2)
+	srv.RestoreSeqState(map[string]uint64{"edge9": 2})
 
 	c, err := DialReliable(addr, ReliableOptions{
 		ClientID:     "edge9",
@@ -238,6 +239,85 @@ func TestReliableResumeSkipsAppliedFrames(t *testing.T) {
 	}
 	if stats.Observations != 1 {
 		t.Fatalf("server ingested %d observations, want 1 (two were stale replays)", stats.Observations)
+	}
+}
+
+// TestReconnectInterleaveKeepsSeqOrder: after a reset, the dying
+// connection's handler can still hold a frame of a reliable client while
+// the client resumes on a new connection. The resume ack must not cover a
+// frame the engine has not applied yet: the client would skip it, and the
+// next seq would overtake it into the engine, where it is rejected as out
+// of timestamp order while already acked — lost.
+func TestReconnectInterleaveKeepsSeqOrder(t *testing.T) {
+	srv, addr := startServer(t, rcep.Config{Rules: dupRule})
+	dial := func() (*json.Encoder, *json.Decoder) {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		return json.NewEncoder(conn), json.NewDecoder(conn)
+	}
+	obs := func(seq uint64) Message {
+		return Message{Type: "obs", ClientID: "edge", Seq: seq, Reader: "r1", Object: fmt.Sprintf("o%d", seq), AtNS: int64(sec(float64(seq)))}
+	}
+
+	// Stall the engine, and leave seq 1 in flight on the old connection:
+	// give its handler time to decode the frame and reach the engine.
+	srv.emu.Lock()
+	stalled := true
+	defer func() {
+		if stalled {
+			srv.emu.Unlock()
+		}
+	}()
+	oldEnc, _ := dial()
+	if err := oldEnc.Encode(obs(1)); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(200 * time.Millisecond); time.Now().Before(deadline) && srv.ackedSeq("edge") == 0; {
+		time.Sleep(time.Millisecond)
+	}
+
+	// Resume on a new connection the way ReliableClient does: hello, then
+	// replay every frame past the acked seq.
+	enc, dec := dial()
+	if err := enc.Encode(Message{Type: "hello", ClientID: "edge"}); err != nil {
+		t.Fatal(err)
+	}
+	var hello Message
+	if err := dec.Decode(&hello); err != nil {
+		t.Fatal(err)
+	}
+	if hello.Seq != 0 {
+		t.Fatalf("resume ack = %d while seq 1 is not applied yet", hello.Seq)
+	}
+	for seq := hello.Seq + 1; seq <= 2; seq++ {
+		if err := enc.Encode(obs(seq)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv.emu.Unlock()
+	stalled = false
+
+	for {
+		var m Message
+		if err := dec.Decode(&m); err != nil {
+			t.Fatalf("waiting for ack 2: %v", err)
+		}
+		if m.Type == "error" {
+			t.Fatalf("frame rejected: %s", m.Msg)
+		}
+		if m.Type == "ack" && m.Seq == 2 {
+			break
+		}
+	}
+	srv.emu.Lock()
+	got := srv.Engine().Metrics().Observations
+	srv.emu.Unlock()
+	if got != 2 {
+		t.Fatalf("engine ingested %d observations, want 2", got)
 	}
 }
 

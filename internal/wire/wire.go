@@ -562,23 +562,32 @@ func (s *Server) handle(conn net.Conn) {
 				reply(Message{Type: "error", Msg: fmt.Sprintf("batch of %d observations exceeds limit %d", len(m.Batch), MaxBatchFrame)})
 				continue
 			}
-			// Sequenced frames apply at most once per (client_id, seq);
-			// stale replays are dropped but still acked so the sender
-			// can release its buffer.
-			fresh := true
-			if m.ClientID != "" && m.Seq > 0 {
+			if sequenced(m) {
 				cc.ids[m.ClientID] = true
-				fresh, _ = s.claimSeq(m.ClientID, m.Seq)
-			}
-			if !fresh {
-				reply(Message{Type: "ack", Seq: s.ackedSeq(m.ClientID)})
-				continue
 			}
 			if s.admit != nil {
 				s.admitFrame(cc, m)
 				continue
 			}
-			s.applyFrame(cc, m)
+			// Sequenced frames apply at most once per (client_id, seq);
+			// stale replays are dropped but still acked so the sender
+			// can release its buffer. The claim and the apply are one
+			// critical section: after a reconnect the dying connection's
+			// handler and the new one can both hold frames of one client,
+			// and a seq claimed but not yet applied would let the next
+			// seq overtake it into the engine.
+			var err error
+			s.emu.Lock()
+			if s.claimSeq(m) {
+				err = s.applyLocked(m)
+			}
+			s.emu.Unlock()
+			if err != nil {
+				reply(Message{Type: "error", Msg: err.Error()})
+			}
+			if sequenced(m) {
+				reply(Message{Type: "ack", Seq: s.ackedSeq(m.ClientID)})
+			}
 		case "hello":
 			// Resume probe: tell the client how far this feed already got,
 			// and which protocol extensions this server speaks.
@@ -622,12 +631,10 @@ func (s *Server) handle(conn net.Conn) {
 	}
 }
 
-// applyFrame runs one fresh obs/advance frame through the ingest chain
-// and sends the error/ack replies — the synchronous tail of the handler,
-// also run by the admission pump.
-func (s *Server) applyFrame(cc *clientConn, m Message) {
+// applyLocked runs one fresh obs/advance/batch frame through the ingest
+// chain. The caller holds emu.
+func (s *Server) applyLocked(m Message) error {
 	var err error
-	s.emu.Lock()
 	switch m.Type {
 	case "obs":
 		err = s.ingest(event.Observation{
@@ -655,25 +662,21 @@ func (s *Server) applyFrame(cc *clientConn, m Message) {
 			err = s.eng.Flush()
 		}
 	}
-	s.emu.Unlock()
-	if err != nil {
-		cc.reply(Message{Type: "error", Msg: err.Error()})
-	}
-	if m.ClientID != "" && m.Seq > 0 {
-		cc.reply(Message{Type: "ack", Seq: s.ackedSeq(m.ClientID)})
-	}
+	return err
 }
 
-// admitFrame enqueues one fresh frame on the admission queue, applying
-// the configured overload policy when it is full.
+// admitFrame enqueues one frame on the admission queue, applying the
+// configured overload policy when it is full, and acks it. The seq is
+// claimed under the queue lock at the moment of enqueue, after any
+// backpressure wait, so queue order is seq order per client. A stale
+// replay neither waits nor sheds: it is acked without being queued.
 func (s *Server) admitFrame(cc *clientConn, m Message) {
 	a := s.admit
-	var dropped []admitted
+	stale := func() bool { return sequenced(m) && m.Seq <= s.ackedSeq(m.ClientID) }
 	a.mu.Lock()
-	for len(a.q) >= a.cap && !a.closed {
+	for len(a.q) >= a.cap && !a.closed && !stale() {
 		if a.drop {
 			if i := oldestSheddable(a.q); i >= 0 {
-				dropped = append(dropped, a.q[i])
 				a.shed += shedCost(a.q[i].m)
 				a.q = append(a.q[:i], a.q[i+1:]...)
 				continue
@@ -683,17 +686,15 @@ func (s *Server) admitFrame(cc *clientConn, m Message) {
 		// block the handler; the sender's unacked ring absorbs the stall.
 		a.cond.Wait()
 	}
-	if !a.closed {
+	if !a.closed && s.claimSeq(m) {
 		a.q = append(a.q, admitted{m: m, cc: cc})
 	}
 	a.mu.Unlock()
 	a.cond.Broadcast()
-	// A shed frame was claimed at admission, so its sender still gets the
-	// cumulative ack and releases it — it is handled, just not applied.
-	for _, d := range dropped {
-		if d.m.ClientID != "" && d.m.Seq > 0 {
-			d.cc.reply(Message{Type: "ack", Seq: s.ackedSeq(d.m.ClientID)})
-		}
+	// Ack on admission: a queued frame is applied in order before
+	// Shutdown returns, or knowingly shed, so its sender may release it.
+	if sequenced(m) {
+		cc.reply(Message{Type: "ack", Seq: s.ackedSeq(m.ClientID)})
 	}
 }
 
@@ -736,23 +737,38 @@ func (s *Server) pump() {
 		a.q = a.q[1:]
 		a.mu.Unlock()
 		a.cond.Broadcast()
-		s.applyFrame(e.cc, e.m)
+		s.emu.Lock()
+		err := s.applyLocked(e.m)
+		s.emu.Unlock()
+		if err != nil {
+			e.cc.reply(Message{Type: "error", Msg: err.Error()})
+		}
 	}
 }
 
-// claimSeq records seq as applied for the client and reports whether the
-// frame is fresh. Frames arrive in sequence order per client (a client
-// writes one connection at a time, in order), so a cumulative high-water
-// mark is a complete dedupe record.
-func (s *Server) claimSeq(clientID string, seq uint64) (fresh bool, last uint64) {
+// sequenced reports whether a frame carries a reliable client's
+// (client_id, seq) and so is deduped and acked.
+func sequenced(m Message) bool { return m.ClientID != "" && m.Seq > 0 }
+
+// claimSeq records a sequenced frame's seq for its client and reports
+// whether the frame is fresh; an unsequenced frame is always fresh. The
+// caller must apply (or enqueue) a fresh frame in the same critical
+// section that claimed it — emu on the direct path, the admission lock in
+// admission mode — so the per-client high-water mark never runs ahead of
+// what the engine will see in order. A client writes one connection at a
+// time, in seq order, so a cumulative high-water mark is a complete dedupe
+// record.
+func (s *Server) claimSeq(m Message) bool {
+	if !sequenced(m) {
+		return true
+	}
 	s.seqMu.Lock()
 	defer s.seqMu.Unlock()
-	last = s.lastSeq[clientID]
-	if seq <= last {
-		return false, last
+	if m.Seq <= s.lastSeq[m.ClientID] {
+		return false
 	}
-	s.lastSeq[clientID] = seq
-	return true, seq
+	s.lastSeq[m.ClientID] = m.Seq
+	return true
 }
 
 // ackedSeq returns the cumulative ack value for a client.

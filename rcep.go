@@ -92,13 +92,6 @@ type Config struct {
 	// experiments; keep it on in production).
 	DisableMerging bool
 
-	// IndexPrimitives dispatches observations by reader literal instead
-	// of probing every leaf pattern — recommended for deployments with
-	// many rules over distinct readers. It governs the interpreted path
-	// only; the compiled path always dispatches by interned reader
-	// symbol.
-	IndexPrimitives bool
-
 	// Interpreted runs the per-event hot path through the AST
 	// interpreters (pattern matching, rule conditions and actions)
 	// instead of the plans compiled at CREATE RULE time. The compiled
@@ -251,7 +244,6 @@ func New(cfg Config) (*Engine, error) {
 			Groups:             cfg.Groups,
 			TypeOf:             cfg.TypeOf,
 			OnDetect:           onDetect,
-			IndexPrimitives:    cfg.IndexPrimitives,
 			MaxPartitionBuffer: cfg.MaxPartitionBuffer,
 			MaxHistory:         cfg.MaxHistory,
 			MaxOpenSequence:    cfg.MaxOpenSequence,
@@ -269,7 +261,6 @@ func New(cfg Config) (*Engine, error) {
 			Groups:             cfg.Groups,
 			TypeOf:             cfg.TypeOf,
 			OnDetect:           onDetect,
-			IndexPrimitives:    cfg.IndexPrimitives,
 			MaxPartitionBuffer: cfg.MaxPartitionBuffer,
 			MaxHistory:         cfg.MaxHistory,
 			MaxOpenSequence:    cfg.MaxOpenSequence,
